@@ -37,11 +37,19 @@ type CostEstimate struct {
 
 // MTreeModel predicts M-tree query costs from the distance distribution
 // and tree statistics. Construct with NewMTreeModel.
+//
+// A model is immutable: refits build a new one. Its k-NN integrals
+// depend only on the model and k, so each is computed once per clamped
+// k and memoized on the model for its lifetime; the memos go with the
+// model when it is dropped, and need no invalidation.
 type MTreeModel struct {
 	f     *histogram.Histogram
 	stats *mtree.Stats
 	// steps controls integration granularity for NN estimates.
 	steps int
+
+	nnl, nnn memo[CostEstimate]
+	nnDist   memo[float64]
 }
 
 // NewMTreeModel builds a model from the estimated distance distribution
@@ -137,14 +145,20 @@ func (m *MTreeModel) NNDistCDF(k int, r float64) float64 {
 	return numeric.BinomialTail(m.stats.Size, m.clampK(k), m.f.CDF(r))
 }
 
+// nnTail returns P_{Q,k} as a function of F(r): the binomial tail of
+// Eq. 9 with its coefficients computed once for (n, clamped k).
+func (m *MTreeModel) nnTail(k int) *numeric.BinomialTailTable {
+	return numeric.NewBinomialTailTable(m.stats.Size, m.clampK(k))
+}
+
 // ExpectedNNDist predicts E[nn_{Q,k}], the expected distance of the k-th
 // nearest neighbor: d+ − ∫ P_{Q,k}(r) dr (Eq. 11; Eq. 14 for k=1).
+// Memoized per clamped k.
 func (m *MTreeModel) ExpectedNNDist(k int) float64 {
-	bound := m.f.Bound()
-	integral := numeric.Trapezoid(func(r float64) float64 {
-		return m.NNDistCDF(k, r)
-	}, 0, bound, m.steps)
-	return bound - integral
+	k = m.clampK(k)
+	return m.nnDist.get(k, func() float64 {
+		return expectedNNDist(m.f, m.stats.Size, k, m.steps)
+	})
 }
 
 // RadiusForExpectedObjects returns r(c) = min{r : n·F(r) >= c}, the
@@ -154,31 +168,46 @@ func (m *MTreeModel) RadiusForExpectedObjects(c float64) float64 {
 	return m.f.Quantile(c / float64(m.stats.Size))
 }
 
-// nnIntegrate computes ∫ g(r) p_k(r) dr as a Stieltjes sum against
-// P_{Q,k}, avoiding the fragile density p_k (Eq. 10): each grid cell
-// contributes g(midpoint) · ΔP.
-func (m *MTreeModel) nnIntegrate(k int, g func(r float64) float64) float64 {
-	return numeric.Stieltjes(g, func(r float64) float64 {
-		return m.NNDistCDF(k, r)
-	}, 0, m.f.Bound(), m.steps)
+// nnIntegrate computes ∫ rangeCost(r) p_k(r) dr as a Stieltjes sum
+// against P_{Q,k}, avoiding the fragile density p_k (Eq. 10): each grid
+// cell contributes rangeCost(midpoint) · ΔP. It walks numeric.Stieltjes's
+// grid once, evaluating P_{Q,k} and the range cost once per cell for
+// nodes and dists together.
+func (m *MTreeModel) nnIntegrate(k int, rangeCost func(r float64) CostEstimate) CostEstimate {
+	var est CostEstimate
+	bound := m.f.Bound()
+	if bound == 0 {
+		return est
+	}
+	tail := m.nnTail(k)
+	h := bound / float64(m.steps)
+	wPrev := tail.At(m.f.CDF(0))
+	for i := 0; i < m.steps; i++ {
+		x0 := float64(i) * h
+		wNext := tail.At(m.f.CDF(x0 + h))
+		rc := rangeCost(x0 + h/2)
+		est.Nodes += rc.Nodes * (wNext - wPrev)
+		est.Dists += rc.Dists * (wNext - wPrev)
+		wPrev = wNext
+	}
+	return est
 }
 
 // NNN predicts NN(Q, k) costs with the node-based model by integrating
 // the range costs over the k-NN distance distribution (the k=1 case is
-// the paper's Eq. for nodes(NN(Q,1)) and dists(NN(Q,1))).
+// the paper's Eq. for nodes(NN(Q,1)) and dists(NN(Q,1))). Memoized per
+// clamped k.
 func (m *MTreeModel) NNN(k int) CostEstimate {
-	return CostEstimate{
-		Nodes: m.nnIntegrate(k, func(r float64) float64 { return m.RangeN(r).Nodes }),
-		Dists: m.nnIntegrate(k, func(r float64) float64 { return m.RangeN(r).Dists }),
-	}
+	k = m.clampK(k)
+	return m.nnn.get(k, func() CostEstimate { return m.nnIntegrate(k, m.RangeN) })
 }
 
 // NNL predicts NN(Q, k) costs with the level-based model (Eq. 17-18).
+// Memoized per clamped k: after the first call for a k, a call is a
+// lock-free map read with no allocation.
 func (m *MTreeModel) NNL(k int) CostEstimate {
-	return CostEstimate{
-		Nodes: m.nnIntegrate(k, func(r float64) float64 { return m.RangeL(r).Nodes }),
-		Dists: m.nnIntegrate(k, func(r float64) float64 { return m.RangeL(r).Dists }),
-	}
+	k = m.clampK(k)
+	return m.nnl.get(k, func() CostEstimate { return m.nnIntegrate(k, m.RangeL) })
 }
 
 // NNViaExpectedDist predicts NN(Q,k) costs as those of a range query
@@ -193,12 +222,6 @@ func (m *MTreeModel) NNViaExpectedDist(k int) CostEstimate {
 // third NN estimator (r(1) for k=1).
 func (m *MTreeModel) NNViaR1(k int) CostEstimate {
 	return m.RangeL(m.RadiusForExpectedObjects(float64(m.clampK(k))))
-}
-
-// binomTail is numeric.BinomialTail, aliased locally so model variants
-// share one import site.
-func binomTail(n, k int, p float64) float64 {
-	return numeric.BinomialTail(n, k, p)
 }
 
 // RangeLByLevel returns the level-based range prediction broken down per
@@ -231,7 +254,8 @@ func (m *MTreeModel) NNDistQuantile(k int, p float64) float64 {
 	if p >= 1 {
 		return m.f.Bound()
 	}
+	tail := m.nnTail(k)
 	return numeric.Bisect(func(r float64) float64 {
-		return m.NNDistCDF(k, r)
+		return tail.At(m.f.CDF(r))
 	}, p, 0, m.f.Bound(), m.f.Bound()/1e6)
 }

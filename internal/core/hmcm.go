@@ -6,6 +6,7 @@ import (
 
 	"mcost/internal/histogram"
 	"mcost/internal/mtree"
+	"mcost/internal/numeric"
 )
 
 // H-MCM: a histogram-compressed middle point between the paper's two
@@ -143,9 +144,8 @@ func (cm *CompressedModel) Range(rq float64) CostEstimate {
 func (cm *CompressedModel) NN(k int) CostEstimate {
 	bound := cm.f.Bound()
 	h := bound / float64(cm.steps)
-	w := func(r float64) float64 {
-		return binomTail(cm.cs.Size, k, cm.f.CDF(r))
-	}
+	tail := numeric.NewBinomialTailTable(cm.cs.Size, k)
+	w := func(r float64) float64 { return tail.At(cm.f.CDF(r)) }
 	var est CostEstimate
 	wPrev := w(0)
 	for i := 0; i < cm.steps; i++ {

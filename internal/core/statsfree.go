@@ -150,8 +150,9 @@ func ceilDiv(n int, by float64) int {
 // expectedNNDist is Eq. 11 computed for a standalone (f, n, k).
 func expectedNNDist(f *histogram.Histogram, n, k, steps int) float64 {
 	bound := f.Bound()
+	tail := numeric.NewBinomialTailTable(n, k)
 	integral := numeric.Trapezoid(func(r float64) float64 {
-		return numeric.BinomialTail(n, k, f.CDF(r))
+		return tail.At(f.CDF(r))
 	}, 0, bound, steps)
 	return bound - integral
 }
@@ -191,9 +192,8 @@ func (m *StatsFreeModel) Range(rq float64) CostEstimate {
 func (m *StatsFreeModel) NN(k int) CostEstimate {
 	bound := m.f.Bound()
 	h := bound / float64(m.steps)
-	w := func(r float64) float64 {
-		return numeric.BinomialTail(m.cfg.N, k, m.f.CDF(r))
-	}
+	tail := numeric.NewBinomialTailTable(m.cfg.N, k)
+	w := func(r float64) float64 { return tail.At(m.f.CDF(r)) }
 	var est CostEstimate
 	wPrev := w(0)
 	for i := 0; i < m.steps; i++ {

@@ -134,9 +134,8 @@ func (vm *VPModel) NNCost(k int) VPCost {
 	}
 	bound := vm.f.Bound()
 	h := bound / float64(steps)
-	w := func(r float64) float64 {
-		return numeric.BinomialTail(vm.N, k, vm.f.CDF(r))
-	}
+	tail := numeric.NewBinomialTailTable(vm.N, k)
+	w := func(r float64) float64 { return tail.At(vm.f.CDF(r)) }
 	var out VPCost
 	wPrev := w(0)
 	for i := 0; i < steps; i++ {

@@ -196,12 +196,16 @@ func New(cfg Config) (*Cache, error) {
 }
 
 // Stats is a point-in-time view of the cache's work.
+//
+// Entries dropped because a write made them stale (see BumpEpoch) are
+// not Evictions: they leave Entries at once and are counted nowhere.
+// Evictions counts only entries removed to make room for an insert.
 type Stats struct {
 	Hits       int64 // probes answered exactly from a cached superset
 	Misses     int64 // Get calls that fell through to the engine
 	ProbeDists int64 // distance computations spent probing and filtering
-	Evictions  int64
-	Entries    int
+	Evictions  int64 // entries removed by a full shard to admit a new one
+	Entries    int   // live entries; never counts a stale one once BumpEpoch returns
 }
 
 // Stats returns the current counters.
@@ -230,14 +234,32 @@ func (c *Cache) Len() int {
 // after each index mutation (insert or delete): a cached set is only
 // exact while the indexed objects are unchanged, and a cached ball from
 // before a delete can still "prove" containment of the removed object.
-// Stale entries stop answering probes immediately and age out of the
-// LRU lists under insertion pressure.
+// Stale entries stop answering probes as soon as the epoch moves, and
+// BumpEpoch then drops them from every shard, so probes never walk
+// entries that can no longer answer. A Put stamped with an older epoch
+// is dropped on arrival (see PutRangeAt). Once BumpEpoch returns, no
+// shard holds a stale entry.
 //
 // Ordering contract: the bump must happen after the mutation is
 // applied, and results computed against the pre-write index must not be
 // Put afterwards — the serving layer gets both for free by serializing
 // writes against in-flight queries.
-func (c *Cache) BumpEpoch() { c.epoch.Add(1) }
+func (c *Cache) BumpEpoch() {
+	cur := c.epoch.Add(1)
+	for _, s := range c.shards {
+		s.mu.Lock()
+		for el := s.ll.Front(); el != nil; {
+			next := el.Next()
+			if e := el.Value.(*entry); e.epoch < cur {
+				e.evicted = true
+				e.elem = nil
+				s.ll.Remove(el)
+			}
+			el = next
+		}
+		s.mu.Unlock()
+	}
+}
 
 // Epoch returns the current write epoch (0 for a fresh cache).
 func (c *Cache) Epoch() uint64 { return c.epoch.Load() }
@@ -501,8 +523,8 @@ func (c *Cache) PutRange(q metric.Object, radius float64, matches []mtree.Match,
 
 // PutRangeAt is PutRange stamping the entry with the write epoch the
 // caller observed before executing the query. A writer that raced the
-// execution has already moved the epoch on, so the entry lands stale
-// and never answers a probe — the only race-free way to publish results
+// execution has already moved the epoch on, so the entry is stale on
+// arrival and is dropped — the only race-free way to publish results
 // computed outside the cache's own synchronization.
 func (c *Cache) PutRangeAt(q metric.Object, radius float64, matches []mtree.Match, est core.CostEstimate, epoch uint64) {
 	if radius < 0 || (c.cfg.MaxRadius > 0 && radius > c.cfg.MaxRadius) {
@@ -547,12 +569,17 @@ func (c *Cache) PutNNAt(q metric.Object, k int, matches []mtree.Match, est core.
 
 // insert adds e to its fingerprint shard, replacing an entry for the
 // same center and ball, and evicts by weighted LRU when the shard is
-// full.
+// full. An entry from a past epoch is dropped instead: it could never
+// answer, and BumpEpoch has already swept (or is about to sweep) this
+// shard, so checking under the shard lock keeps stale entries out.
 func (c *Cache) insert(e *entry) {
 	e.fp = fingerprint(e.center)
 	s := c.shards[e.fp%uint64(len(c.shards))]
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if e.epoch < c.epoch.Load() {
+		return
+	}
 	// Replace an identical ball: a miss storm (concurrent misses on the
 	// same query before the first Put lands) must not fill the shard
 	// with duplicates. The fingerprint narrows candidates; the distance
@@ -575,7 +602,8 @@ func (c *Cache) insert(e *entry) {
 // evictLocked removes the lowest-weight entry among the evictSample
 // least-recent ones: recency picks the candidates, saved traversal cost
 // picks the victim. Entries from a past write epoch can never answer a
-// probe again, so they lose every contest. Caller holds s.mu.
+// probe again, so they lose every contest; they only exist here while a
+// BumpEpoch sweep has yet to reach this shard. Caller holds s.mu.
 func (c *Cache) evictLocked(s *cacheShard) {
 	victim := s.ll.Back()
 	if victim == nil {

@@ -80,7 +80,7 @@ func RegisterTree(fs *flag.FlagSet, seed int64) *TreeFlags {
 	fs.IntVar(&f.PageSize, "pagesize", 4096, "M-tree node size in bytes")
 	fs.Int64Var(&f.Seed, "seed", seed, "random seed")
 	fs.IntVar(&f.Workers, "workers", 0, "worker goroutines for estimation and query batches (0 = all CPUs); results are identical at any count")
-	fs.StringVar(&f.Layout, "layout", "memory", "node layout for query serving: memory | arena | arena-mmap; arena freezes the tree into flat columnar slabs with batched distance kernels (bit-identical results), arena-mmap serves them from a memory-mapped slab file")
+	fs.StringVar(&f.Layout, "layout", "memory", "node layout for query serving: memory | arena | arena-mmap; arena freezes the tree into a node slab read through slab distance kernels (bit-identical results), arena-mmap serves the kernel slab from a memory-mapped file")
 	return f
 }
 

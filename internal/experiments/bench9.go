@@ -17,7 +17,7 @@ import (
 //   - loop-paged  — per-query traversal over the checksummed paged
 //     stack with an LRU page cache: the production storage engine the
 //     arena read path replaces
-//   - arena       — per-query traversal over the frozen columnar arena
+//   - arena       — per-query traversal over the frozen arena node slab
 //   - arena-mmap  — the same slabs served from a memory-mapped file
 //   - arena-batch — shared-traversal batches over the arena
 //

@@ -3,69 +3,33 @@ package mtree
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"math"
 
 	"mcost/internal/metric"
 	"mcost/internal/pager"
 )
 
-// Arena is a frozen, flat, columnar view of the whole tree: routing
-// radii, parent distances, child indices, and OIDs live in contiguous
-// typed slabs, vector coordinates in one aligned float64 slab, and
-// nodes are identified by dense indices in DFS preorder (root = 0).
-// Queries over an arena never touch the node store — no per-node
-// decode, no pager mutex, no per-entry Decode allocation — yet produce
-// bit-identical results, traces, and counter totals to the store-backed
-// traversal: the traversal order, pruning tests, and floating-point
-// expressions are exact mirrors of query.go/batch.go.
+// Arena is a frozen snapshot of the whole tree: its nodes in DFS
+// preorder (root = 0) over one contiguous []Entry slab, with child
+// pointers rewritten to dense node indices, plus the kernel slabs —
+// vector coordinates in one aligned float64 slab, or the string objects
+// — indexed by slab offset. Queries run the same traversals as the node
+// store (see view) but never touch the store: no per-node decode, no
+// pager mutex, no per-entry interface dispatch on the specialized
+// kinds. Results, traces, and counter totals are therefore identical.
 //
 // An arena is a read-only snapshot. Tree mutations (Insert, Delete,
 // BulkLoad, Restore) thaw it automatically; FreezeArena rebuilds it.
 type Arena struct {
-	space   *metric.Space
-	counter *metric.Counter // shared with the owning tree
-	reads   *atomic.Int64   // the owning tree's arena node-read counter
-	bound   float64
+	view
 
-	kind arenaKind
-	dim  int // vector dimension when kind == arenaVector
-
-	// Per-node slabs, indexed by dense node index.
-	leaf  []bool
-	start []int32 // first entry index of node i
-	end   []int32 // one past the last entry index of node i
-
-	// Per-entry slabs, indexed by dense entry index.
-	parentDist []float64
-	radius     []float64
-	child      []int32 // dense child node index; -1 for leaf entries
-	oid        []uint64
-	objs       []metric.Object // result objects (leaf entries; routing objects too)
-	vecs       []float64       // kind == arenaVector: entry e at [e*dim, (e+1)*dim)
-	strs       []string        // kind == arenaEdit / arenaHamming
-
-	vecK metric.VecKernel // kind == arenaVector
-
-	// mapping is the live memory map behind the slabs when the arena was
-	// loaded via ArenaConfig.Mmap. It is intentionally NOT unmapped on
-	// thaw: vector result objects are views into it, so unmapping while
-	// any result may still be referenced would be a use-after-free. Close
-	// releases it explicitly once the caller knows no results survive.
+	// mapping is the live memory map behind the vector slab when the
+	// arena was loaded via ArenaConfig.Mmap. It is intentionally NOT
+	// unmapped on thaw: a query still running on a detached arena reads
+	// the slab through it. Close releases it explicitly once the caller
+	// knows no query uses the arena any more.
 	mapping *pager.Mapping
-
-	scratch sync.Pool // *arenaScratch
 }
-
-// arenaKind selects the distance kernel dispatched on the hot path.
-type arenaKind uint8
-
-const (
-	arenaGeneric arenaKind = iota // space.Distance on boxed objects
-	arenaVector                   // Lp slab kernel over vecs
-	arenaEdit                     // prefix-shared Levenshtein over strs
-	arenaHamming                  // SWAR Hamming over strs
-)
 
 // ArenaConfig configures FreezeArena.
 type ArenaConfig struct {
@@ -108,14 +72,13 @@ func (t *Tree) ThawArena() { t.arena = nil }
 func (t *Tree) Arena() *Arena { return t.arena }
 
 // NumNodes returns the number of tree nodes captured in the arena.
-func (a *Arena) NumNodes() int { return len(a.leaf) }
+func (a *Arena) NumNodes() int { return len(a.nodes) }
 
 // Mapped reports whether the arena's slabs are backed by a memory map.
 func (a *Arena) Mapped() bool { return a.mapping != nil }
 
 // Close releases the memory map behind an mmap-backed arena. Callers
-// must guarantee no Match.Object returned by this arena is referenced
-// afterwards: vector results are views into the map. In-memory arenas
+// must guarantee no query still runs on the arena. In-memory arenas
 // Close to a no-op.
 func (a *Arena) Close() error {
 	m := a.mapping
@@ -126,30 +89,60 @@ func (a *Arena) Close() error {
 	return m.Close()
 }
 
-// buildArena walks the tree in DFS preorder through the store's
-// uncounted peek and lays every node out flat. In memory mode the
-// result objects are the very boxes the store holds, so arena results
-// are pointer-identical to store results; in paged mode they are the
-// decoded copies peek produced (decoding always copies — see codec.go).
-func buildArena(t *Tree) (*Arena, error) {
-	a := &Arena{
-		space:   t.counter.Space(), // accelerated view; bit-identical distances
-		counter: t.counter,
-		reads:   &t.arenaReads,
-		bound:   t.opt.Space.Bound,
-		kind:    arenaGeneric,
+// RangeAppend runs a range query over the arena, appending matches to
+// dst and returning the extended slice. With dst capacity in place this
+// is the zero-allocation hot path the CI gate pins (0 allocs/op for
+// vector spaces). Results, order, traces, and counters are identical to
+// Tree.Range.
+func (a *Arena) RangeAppend(dst []Match, q metric.Object, radius float64, opt QueryOptions) ([]Match, error) {
+	if err := checkRange(q, radius); err != nil {
+		return dst, err
 	}
-	a.scratch.New = func() any { return &arenaScratch{} }
+	opt.Trace.StartRange(radius)
+	return a.rangeQuery(dst, q, 0, radius, opt, nil)
+}
 
+// NNAppend runs a k-NN query over the arena, appending the neighbors
+// (closest first) to dst. Like RangeAppend it is allocation-free once
+// dst and the pooled scratch are warm. Results are identical to
+// Tree.NN.
+func (a *Arena) NNAppend(dst []Match, q metric.Object, k int, opt QueryOptions) ([]Match, error) {
+	if err := checkNN(q, k); err != nil {
+		return dst, err
+	}
+	opt.Trace.StartNN(k)
+	return a.nnQuery(dst, q, 0, k, math.Inf(1), opt, nil, nil)
+}
+
+// buildArena walks the tree once in DFS preorder through the store's
+// uncounted peek, copying every node's entries into the slab. The
+// entries keep the store's objects: in memory mode arena results are
+// the very boxes the store holds; in paged mode they are the decoded
+// copies peek produced (decoding always copies — see codec.go).
+func buildArena(t *Tree) (*Arena, error) {
 	root, err := t.store.peek(t.root)
 	if err != nil {
 		return nil, err
 	}
+	// Every node but the root has one routing entry, so a consistent
+	// tree holds size + nodes - 1 entries: with these capacities the
+	// slabs never regrow during the walk.
+	nodes := t.store.numNodes()
+	entries := t.size + nodes - 1
+	a := &Arena{view: view{
+		counter: t.counter,
+		space:   t.counter.Space(), // accelerated view; bit-identical distances
+		bound:   t.opt.Space.Bound,
+		nodes:   make([]node, 0, nodes),
+		base:    make([]int32, 0, nodes),
+		reads:   &t.arenaReads,
+	}}
 	if len(root.entries) > 0 {
 		switch s := root.entries[0].Object.(type) {
 		case metric.Vector:
 			if k := metric.VecKernelFor(t.opt.Space.Name); k != nil {
 				a.kind, a.dim, a.vecK = arenaVector, len(s), k
+				a.vecs = make([]float64, 0, entries*a.dim)
 			}
 		case string:
 			switch t.opt.Space.Name {
@@ -158,55 +151,60 @@ func buildArena(t *Tree) (*Arena, error) {
 			case "hamming":
 				a.kind = arenaHamming
 			}
+			if a.kind != arenaGeneric {
+				a.strs = make([]string, 0, entries)
+			}
 		}
 	}
 
-	var walk func(id pager.PageID) (int32, error)
-	walk = func(id pager.PageID) (int32, error) {
-		n, err := t.store.peek(id)
-		if err != nil {
-			return 0, err
-		}
-		ni := int32(len(a.leaf))
-		base := int32(len(a.oid))
-		a.leaf = append(a.leaf, n.leaf)
-		a.start = append(a.start, base)
-		a.end = append(a.end, base+int32(len(n.entries)))
+	slab := make([]Entry, 0, entries)
+	var walk func(n *node) error
+	walk = func(n *node) error {
+		b := len(slab)
+		a.nodes = append(a.nodes, node{id: pager.PageID(len(a.nodes)), leaf: n.leaf})
+		a.base = append(a.base, int32(b))
+		slab = append(slab, n.entries...)
 		for i := range n.entries {
-			e := &n.entries[i]
-			a.parentDist = append(a.parentDist, e.ParentDist)
-			a.radius = append(a.radius, e.Radius)
-			a.oid = append(a.oid, e.OID)
-			a.child = append(a.child, -1)
-			a.objs = append(a.objs, e.Object)
-			switch a.kind {
+			switch o := n.entries[i].Object; a.kind {
 			case arenaVector:
-				v, ok := e.Object.(metric.Vector)
+				v, ok := o.(metric.Vector)
 				if !ok || len(v) != a.dim {
-					return 0, fmt.Errorf("mtree: arena freeze: entry object %T does not match %d-dimensional vector layout", e.Object, a.dim)
+					return fmt.Errorf("mtree: arena freeze: entry object %T does not match %d-dimensional vector layout", o, a.dim)
 				}
 				a.vecs = append(a.vecs, v...)
 			case arenaEdit, arenaHamming:
-				s, ok := e.Object.(string)
+				s, ok := o.(string)
 				if !ok {
-					return 0, fmt.Errorf("mtree: arena freeze: entry object %T in a string space", e.Object)
+					return fmt.Errorf("mtree: arena freeze: entry object %T in a string space", o)
 				}
 				a.strs = append(a.strs, s)
 			}
 		}
-		if !n.leaf {
-			for i := range n.entries {
-				ci, err := walk(n.entries[i].Child)
-				if err != nil {
-					return 0, err
-				}
-				a.child[base+int32(i)] = ci
+		if n.leaf {
+			return nil
+		}
+		for i := range n.entries {
+			c, err := t.store.peek(n.entries[i].Child)
+			if err != nil {
+				return err
+			}
+			slab[b+i].Child = pager.PageID(len(a.nodes))
+			if err := walk(c); err != nil {
+				return err
 			}
 		}
-		return ni, nil
+		return nil
 	}
-	if _, err := walk(t.root); err != nil {
+	if err := walk(root); err != nil {
 		return nil, err
+	}
+	// Preorder lays node i's entries out right before node i+1's.
+	for i := range a.nodes {
+		hi := len(slab)
+		if i+1 < len(a.nodes) {
+			hi = int(a.base[i+1])
+		}
+		a.nodes[i].entries = slab[a.base[i]:hi:hi]
 	}
 	return a, nil
 }

@@ -11,8 +11,17 @@ import (
 // vector space must not allocate at all once the pooled scratch and the
 // caller's destination slice are warm — that is the contract the CI
 // allocation-gate job pins (modeled on the obs zero-cost tests). The
-// testing.AllocsPerOp benchmarks alongside make regressions visible
-// with -benchmem.
+// store-backed k-NN shares that traversal and its pooled scratch, so it
+// allocates only its result slice. The testing.AllocsPerOp benchmarks
+// alongside make regressions visible with -benchmem. The gates skip in
+// -race builds, whose sync.Pool drops items at random.
+
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled items at random under -race; the alloc-gate job runs without it")
+	}
+}
 
 func arenaAllocFixture(tb testing.TB) (*Tree, []metric.Object) {
 	tb.Helper()
@@ -31,6 +40,7 @@ func arenaAllocFixture(tb testing.TB) (*Tree, []metric.Object) {
 }
 
 func TestArenaRangeZeroAllocs(t *testing.T) {
+	skipUnderRace(t)
 	tr, qs := arenaAllocFixture(t)
 	a := tr.Arena()
 	opt := QueryOptions{UseParentDist: true}
@@ -56,6 +66,7 @@ func TestArenaRangeZeroAllocs(t *testing.T) {
 }
 
 func TestArenaNNZeroAllocs(t *testing.T) {
+	skipUnderRace(t)
 	tr, qs := arenaAllocFixture(t)
 	a := tr.Arena()
 	opt := QueryOptions{UseParentDist: true}
@@ -76,6 +87,49 @@ func TestArenaNNZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("arena NN hot path allocates %.1f allocs/op, the gate is 0", allocs)
+	}
+}
+
+// storeAllocFixture is arenaAllocFixture's tree left unfrozen: queries
+// run through the in-memory node store.
+func storeAllocFixture(tb testing.TB) (*Tree, []metric.Object) {
+	tb.Helper()
+	tr, qs := arenaAllocFixture(tb)
+	tr.ThawArena()
+	return tr, qs
+}
+
+// TestStoreNNAllocs pins the store-backed k-NN: a memory-mode Tree.NN
+// allocates its result slice and nothing else (priority queue and
+// result heap come from the pooled scratch).
+func TestStoreNNAllocs(t *testing.T) {
+	skipUnderRace(t)
+	tr, qs := storeAllocFixture(t)
+	opt := QueryOptions{UseParentDist: true}
+	for _, q := range qs {
+		if _, err := tr.NN(q, 10, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := tr.NN(qs[0], 10, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("store k-NN allocates %.1f allocs/op, the ceiling is 1 (the result slice)", allocs)
+	}
+}
+
+func BenchmarkStoreNN(b *testing.B) {
+	tr, qs := storeAllocFixture(b)
+	opt := QueryOptions{UseParentDist: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.NN(qs[i%len(qs)], 10, opt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -4,56 +4,49 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"unsafe"
 
-	"mcost/internal/metric"
 	"mcost/internal/pager"
 )
 
-// Arena slab file: the frozen columnar layout serialized so it can be
-// memory-mapped back with zero parsing. Layout (all little-endian,
-// every section 8-byte aligned so the typed views are aligned loads):
+// Arena slab file: the kernel slabs serialized so they can be
+// memory-mapped back with zero parsing. It holds only what the mapping
+// serves — the node slab stays in memory. Layout (all little-endian):
 //
-//	[0:8)    magic "MCARENA1"
+//	[0:8)    magic "MCARENA2"
 //	[8:16)   0x0807060504030201 as uint64 — endianness/width check
 //	[16]     kind (arenaVector / arenaEdit / arenaHamming)
 //	[17:20)  zero padding
 //	[20:24)  uint32 dim (vector kinds; else 0)
-//	[24:28)  uint32 node count
-//	[28:32)  uint32 entry count
+//	[24:28)  uint32 entry count
+//	[28:32)  zero padding
 //	[32:40)  uint64 string-blob length (string kinds; else 0)
 //	[40:64)  zero padding
 //
-// then, in order, each padded to a multiple of 8 bytes:
+// then, at offset 64 (so the float64 view is an aligned load):
 //
-//	leaf       node count × u8 (0/1)
-//	start      node count × i32
-//	end        node count × i32
-//	child      entry count × i32
-//	parentDist entry count × f64
-//	radius     entry count × f64
-//	oid        entry count × u64
 //	vecs       entry count × dim × f64        (arenaVector)
 //	strOff     (entry count + 1) × u32        (string kinds)
 //	strBlob    string-blob bytes              (string kinds)
 //
-// Lifetime/aliasing rules (see DESIGN.md): after opening, the numeric
-// slabs and vector result objects are views INTO the mapping — the
-// mapping must outlive every Match.Object handed out, which is why a
-// thaw keeps it alive and only Arena.Close unmaps. The string blob is
-// copied out at open (one allocation), so string results never alias
-// the map. Generic-kind arenas (custom domains) have no file format
+// Lifetime/aliasing rules (see DESIGN.md): after opening, the vector
+// slab is a view INTO the mapping, so a thaw keeps the mapping alive and
+// only Arena.Close unmaps. Result objects are the tree's own objects and
+// never alias the map; the string blob is copied out at open (one
+// allocation). Generic-kind arenas (custom domains) have no file format
 // and must freeze in memory.
 
 const (
-	arenaMagic  = "MCARENA1"
+	arenaMagic  = "MCARENA2"
 	arenaEndian = uint64(0x0807060504030201)
 	arenaHdrLen = 64
 )
 
 // remap serializes the built arena to path (a private unlinked temp
-// file when empty) and swaps the slabs for read-only views of the map.
+// file when empty) and swaps the kernel slabs for read-only views of
+// the map.
 func (a *Arena) remap(path string) error {
 	if a.kind == arenaGeneric {
 		return fmt.Errorf("mtree: arena mmap supports vector, edit, and hamming layouts; %q objects must freeze in memory", a.space.Name)
@@ -91,7 +84,13 @@ func (a *Arena) remap(path string) error {
 	return nil
 }
 
-func pad8(n int) int { return (n + 7) &^ 7 }
+// entries returns the number of slab entries.
+func (a *Arena) entries() int {
+	if a.kind == arenaVector {
+		return len(a.vecs) / a.dim
+	}
+	return len(a.strs)
+}
 
 func (a *Arena) writeSlabFile(path string) (err error) {
 	f, err := os.Create(path)
@@ -105,132 +104,49 @@ func (a *Arena) writeSlabFile(path string) (err error) {
 	}()
 	w := bufio.NewWriterSize(f, 1<<20)
 
-	var strBlobLen uint64
-	if a.kind == arenaEdit || a.kind == arenaHamming {
-		for _, s := range a.strs {
-			strBlobLen += uint64(len(s))
-		}
+	blobLen := 0
+	for _, s := range a.strs {
+		blobLen += len(s)
 	}
-
 	hdr := make([]byte, arenaHdrLen)
 	copy(hdr, arenaMagic)
 	binary.LittleEndian.PutUint64(hdr[8:], arenaEndian)
 	hdr[16] = byte(a.kind)
 	binary.LittleEndian.PutUint32(hdr[20:], uint32(a.dim))
-	binary.LittleEndian.PutUint32(hdr[24:], uint32(len(a.leaf)))
-	binary.LittleEndian.PutUint32(hdr[28:], uint32(len(a.oid)))
-	binary.LittleEndian.PutUint64(hdr[32:], strBlobLen)
+	binary.LittleEndian.PutUint32(hdr[24:], uint32(a.entries()))
+	binary.LittleEndian.PutUint64(hdr[32:], uint64(blobLen))
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-
-	written := 0
-	section := func(write func() error, rawLen int) error {
-		if err := write(); err != nil {
-			return err
-		}
-		written += rawLen
-		for ; written%8 != 0; written++ {
-			if err := w.WriteByte(0); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var buf [8]byte
-	writeU32s := func(get func(i int) uint32, n int) func() error {
-		return func() error {
-			for i := 0; i < n; i++ {
-				binary.LittleEndian.PutUint32(buf[:4], get(i))
-				if _, err := w.Write(buf[:4]); err != nil {
-					return err
-				}
-			}
-			return nil
+	for _, x := range a.vecs {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+		if _, err := w.Write(buf[:]); err != nil {
+			return err
 		}
 	}
-	writeU64s := func(get func(i int) uint64, n int) func() error {
-		return func() error {
-			for i := 0; i < n; i++ {
-				binary.LittleEndian.PutUint64(buf[:8], get(i))
-				if _, err := w.Write(buf[:8]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-
-	nn, ne := len(a.leaf), len(a.oid)
-	if err := section(func() error {
-		for _, l := range a.leaf {
-			b := byte(0)
-			if l {
-				b = 1
-			}
-			if err := w.WriteByte(b); err != nil {
+	if a.kind == arenaEdit || a.kind == arenaHamming {
+		off := uint32(0)
+		for i := 0; i <= len(a.strs); i++ {
+			binary.LittleEndian.PutUint32(buf[:4], off)
+			if _, err := w.Write(buf[:4]); err != nil {
 				return err
 			}
-		}
-		return nil
-	}, nn); err != nil {
-		return err
-	}
-	if err := section(writeU32s(func(i int) uint32 { return uint32(a.start[i]) }, nn), nn*4); err != nil {
-		return err
-	}
-	if err := section(writeU32s(func(i int) uint32 { return uint32(a.end[i]) }, nn), nn*4); err != nil {
-		return err
-	}
-	if err := section(writeU32s(func(i int) uint32 { return uint32(a.child[i]) }, ne), ne*4); err != nil {
-		return err
-	}
-	if err := section(writeU64s(func(i int) uint64 { return floatBits(a.parentDist[i]) }, ne), ne*8); err != nil {
-		return err
-	}
-	if err := section(writeU64s(func(i int) uint64 { return floatBits(a.radius[i]) }, ne), ne*8); err != nil {
-		return err
-	}
-	if err := section(writeU64s(func(i int) uint64 { return a.oid[i] }, ne), ne*8); err != nil {
-		return err
-	}
-	switch a.kind {
-	case arenaVector:
-		if err := section(writeU64s(func(i int) uint64 { return floatBits(a.vecs[i]) }, len(a.vecs)), len(a.vecs)*8); err != nil {
-			return err
-		}
-	case arenaEdit, arenaHamming:
-		off := uint32(0)
-		if err := section(writeU32s(func(i int) uint32 {
-			if i == 0 {
-				off = 0
-			} else {
-				off += uint32(len(a.strs[i-1]))
+			if i < len(a.strs) {
+				off += uint32(len(a.strs[i]))
 			}
-			return off
-		}, ne+1), (ne+1)*4); err != nil {
-			return err
 		}
-		if err := section(func() error {
-			for _, s := range a.strs {
-				if _, err := w.WriteString(s); err != nil {
-					return err
-				}
+		for _, s := range a.strs {
+			if _, err := w.WriteString(s); err != nil {
+				return err
 			}
-			return nil
-		}, int(strBlobLen)); err != nil {
-			return err
 		}
 	}
 	return w.Flush()
 }
 
-func floatBits(f float64) uint64 {
-	return *(*uint64)(unsafe.Pointer(&f))
-}
-
-// attachMapping validates the slab file and swaps the arena's slabs for
-// typed views into it.
+// attachMapping validates the slab file and swaps the arena's kernel
+// slabs for views into it.
 func (a *Arena) attachMapping(m *pager.Mapping) error {
 	data := m.Data
 	if len(data) < arenaHdrLen || string(data[:8]) != arenaMagic {
@@ -241,126 +157,32 @@ func (a *Arena) attachMapping(m *pager.Mapping) error {
 	}
 	kind := arenaKind(data[16])
 	dim := int(binary.LittleEndian.Uint32(data[20:]))
-	nn := int(binary.LittleEndian.Uint32(data[24:]))
-	ne := int(binary.LittleEndian.Uint32(data[28:]))
-	strBlobLen := int(binary.LittleEndian.Uint64(data[32:]))
-	if kind != a.kind || dim != a.dim || nn != len(a.leaf) || ne != len(a.oid) {
-		return fmt.Errorf("mtree: arena slab file does not match the frozen tree (kind %d dim %d nodes %d entries %d)", kind, dim, nn, ne)
+	ne := int(binary.LittleEndian.Uint32(data[24:]))
+	blobLen := int(binary.LittleEndian.Uint64(data[32:]))
+	if kind != a.kind || dim != a.dim || ne != a.entries() {
+		return fmt.Errorf("mtree: arena slab file does not match the frozen tree (kind %d dim %d entries %d)", kind, dim, ne)
 	}
-
-	off := arenaHdrLen
-	take := func(rawLen int) ([]byte, error) {
-		if off+rawLen > len(data) {
-			return nil, fmt.Errorf("mtree: arena slab file truncated at offset %d", off)
+	body := data[arenaHdrLen:]
+	need := ne * dim * 8
+	if a.kind != arenaVector {
+		need = (ne+1)*4 + blobLen
+	}
+	if len(body) < need {
+		return fmt.Errorf("mtree: arena slab file truncated: %d body bytes, want %d", len(body), need)
+	}
+	if a.kind == arenaVector {
+		if need > 0 {
+			a.vecs = unsafe.Slice((*float64)(unsafe.Pointer(&body[0])), ne*dim)
 		}
-		sec := data[off : off+rawLen]
-		off += pad8(rawLen)
-		return sec, nil
-	}
-
-	leafSec, err := take(nn)
-	if err != nil {
-		return err
-	}
-	leaf := make([]bool, nn)
-	for i := range leaf {
-		leaf[i] = leafSec[i] != 0
-	}
-	startSec, err := take(nn * 4)
-	if err != nil {
-		return err
-	}
-	endSec, err := take(nn * 4)
-	if err != nil {
-		return err
-	}
-	childSec, err := take(ne * 4)
-	if err != nil {
-		return err
-	}
-	pdSec, err := take(ne * 8)
-	if err != nil {
-		return err
-	}
-	radSec, err := take(ne * 8)
-	if err != nil {
-		return err
-	}
-	oidSec, err := take(ne * 8)
-	if err != nil {
-		return err
-	}
-
-	a.leaf = leaf
-	a.start = i32View(startSec)
-	a.end = i32View(endSec)
-	a.child = i32View(childSec)
-	a.parentDist = f64View(pdSec)
-	a.radius = f64View(radSec)
-	a.oid = u64View(oidSec)
-
-	objs := make([]metric.Object, ne)
-	switch a.kind {
-	case arenaVector:
-		vecSec, err := take(ne * dim * 8)
-		if err != nil {
-			return err
-		}
-		a.vecs = f64View(vecSec)
-		for e := 0; e < ne; e++ {
-			// Result objects are views into the map — the aliasing rule the
-			// file-format comment and DESIGN.md spell out.
-			objs[e] = metric.Vector(a.vecs[e*dim : (e+1)*dim])
-		}
-	case arenaEdit, arenaHamming:
-		offSec, err := take((ne + 1) * 4)
-		if err != nil {
-			return err
-		}
-		blobSec, err := take(strBlobLen)
-		if err != nil {
-			return err
-		}
-		offs := u32View(offSec)
+	} else {
+		offs := unsafe.Slice((*uint32)(unsafe.Pointer(&body[0])), ne+1)
 		// One copy of the whole blob: substrings of blob share it and are
 		// ordinary immutable Go strings, independent of the mapping.
-		blob := string(blobSec)
-		strs := make([]string, ne)
-		for e := 0; e < ne; e++ {
-			strs[e] = blob[offs[e]:offs[e+1]]
-			objs[e] = strs[e]
+		blob := string(body[(ne+1)*4 : need])
+		for e := range a.strs {
+			a.strs[e] = blob[offs[e]:offs[e+1]]
 		}
-		a.strs = strs
 	}
-	a.objs = objs
 	a.mapping = m
 	return nil
-}
-
-func f64View(b []byte) []float64 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
-}
-
-func i32View(b []byte) []int32 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
-func u32View(b []byte) []uint32 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
-func u64View(b []byte) []uint64 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(b)/8)
 }

@@ -7,7 +7,6 @@ import (
 
 	"mcost/internal/budget"
 	"mcost/internal/metric"
-	"mcost/internal/obs"
 	"mcost/internal/pager"
 )
 
@@ -60,25 +59,26 @@ func (t *Tree) rangeBatch(g *budget.Guard, qs []metric.Object, radius float64, o
 		return out, nil
 	}
 	opt.Trace.StartRangeBatch(radius, len(qs))
-	if a := t.arena; a != nil {
-		err := a.rangeBatchRun(g, qs, radius, opt, out)
-		return out, err
-	}
-	b := &rangeBatchRun{t: t, qs: qs, radius: radius, opt: opt, g: g, out: out}
+	v, root := t.source()
+	b := &rangeBatchRun{v: v, scs: make([]*scratch, len(qs)), radius: radius, opt: opt, g: g, out: out}
 	active := make([]int, len(qs))
 	dQP := make([]float64, len(qs))
-	for i := range qs {
+	for i, q := range qs {
+		b.scs[i] = v.getScratch(q)
 		active[i] = i
 		dQP[i] = math.NaN()
 	}
-	err := b.visit(t.root, 1, active, dQP)
+	err := b.visit(root, 1, active, dQP)
+	for _, sc := range b.scs {
+		putScratch(sc)
+	}
 	return out, err
 }
 
 // rangeBatchRun is the state of one shared range traversal.
 type rangeBatchRun struct {
-	t      *Tree
-	qs     []metric.Object
+	v      *view
+	scs    []*scratch // per query
 	radius float64
 	opt    QueryOptions
 	g      *budget.Guard
@@ -86,20 +86,18 @@ type rangeBatchRun struct {
 }
 
 // visit fetches node id once and tests its entries against every active
-// query. active holds the indices (into qs) of queries whose traversal
-// reaches this node; dQP[j] is d(qs[active[j]], routing object of this
+// query. active holds the indices (into scs) of queries whose traversal
+// reaches this node; dQP[j] is d(query active[j], routing object of this
 // node), NaN at the root. Entries are processed in page order and
 // children recursed in entry order, exactly like the per-query rangeAt,
 // so each query's matches appear in its sequential DFS order.
 func (b *rangeBatchRun) visit(id pager.PageID, level int, active []int, dQP []float64) error {
-	if err := b.g.BeforeFetch(); err != nil {
-		return err
-	}
-	n, err := b.t.store.fetch(id)
+	n, err := b.v.fetch(id, level, b.g, b.opt.Trace, nil)
 	if err != nil {
 		return err
 	}
-	b.opt.Trace.Visit(level)
+	s := b.v.slab(id)
+	dists := int64(0)
 	for i := range n.entries {
 		e := &n.entries[i]
 		bound := b.radius
@@ -115,9 +113,11 @@ func (b *rangeBatchRun) visit(id pager.PageID, level int, active []int, dQP []fl
 					continue
 				}
 			}
-			d := b.t.dist(b.qs[qi], e.Object)
+			d := b.v.dist(b.scs[qi], e, s+i)
+			dists++
 			b.opt.Trace.Dist(level)
 			if err := b.g.OnDist(); err != nil {
+				b.v.counter.AddN(dists)
 				return err
 			}
 			if d > bound {
@@ -134,11 +134,14 @@ func (b *rangeBatchRun) visit(id pager.PageID, level int, active []int, dQP []fl
 			}
 		}
 		if len(childActive) > 0 {
+			b.v.counter.AddN(dists)
+			dists = 0
 			if err := b.visit(e.Child, level+1, childActive, childD); err != nil {
 				return err
 			}
 		}
 	}
+	b.v.counter.AddN(dists)
 	return nil
 }
 
@@ -175,51 +178,18 @@ func (t *Tree) nnBatch(g *budget.Guard, qs []metric.Object, k int, opt QueryOpti
 		return out, nil
 	}
 	opt.Trace.StartNNBatch(k, len(qs))
-	if a := t.arena; a != nil {
-		// The visited slice is the arena's node memo: the first access per
-		// batch is guarded, counted, and traced; later accesses are free —
-		// exactly batchFetcher's semantics.
-		visited := make([]bool, a.NumNodes())
-		for qi, q := range qs {
-			ms, err := a.nnRun(g, q, k, math.Inf(1), opt, visited)
-			out[qi] = ms
-			if err != nil {
-				return out, err
-			}
-		}
-		return out, nil
-	}
-	fetch := t.batchFetcher(g, opt.Trace)
+	v, root := t.source()
+	// The memo makes each node's first access per batch the guarded,
+	// counted, traced read and every later access free. Decoding is
+	// deterministic, so a memoized node is indistinguishable from a
+	// re-fetched one; memory is one pointer per node id.
+	memo := make([]*node, t.NumNodes())
 	for qi, q := range qs {
-		ms, err := t.nnSearchFetch(fetch, g, q, k, math.Inf(1), opt)
+		ms, err := v.nnQuery(nil, q, root, k, math.Inf(1), opt, g, &memo)
 		out[qi] = ms
 		if err != nil {
 			return out, err
 		}
 	}
 	return out, nil
-}
-
-// batchFetcher memoizes node fetches for the lifetime of one batch:
-// the first access to a page is a real (guarded, counted, traced)
-// read; later accesses are free. Decoding is deterministic, so a
-// memoized node is indistinguishable from a re-fetched one. Memory is
-// O(distinct nodes the batch visits).
-func (t *Tree) batchFetcher(g *budget.Guard, tr *obs.Trace) fetchFunc {
-	memo := make(map[pager.PageID]*node)
-	return func(id pager.PageID, level int) (*node, error) {
-		if n, ok := memo[id]; ok {
-			return n, nil
-		}
-		if err := g.BeforeFetch(); err != nil {
-			return nil, err
-		}
-		n, err := t.store.fetch(id)
-		if err != nil {
-			return nil, err
-		}
-		tr.Visit(level)
-		memo[id] = n
-		return n, nil
-	}
 }

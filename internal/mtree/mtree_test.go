@@ -679,3 +679,17 @@ func TestNNWithStopErrors(t *testing.T) {
 		t.Error("negative stop accepted")
 	}
 }
+
+// TestLinearScanNNNonPositiveK: the brute-force oracle answers k <= 0
+// with no matches instead of indexing into its empty heap.
+func TestLinearScanNNNonPositiveK(t *testing.T) {
+	d := dataset.Uniform(20, 2, 29)
+	for _, k := range []int{0, -3} {
+		if got := LinearScanNN(d.Objects, d.Space, d.Objects[0], k); len(got) != 0 {
+			t.Errorf("k=%d: %d matches, want none", k, len(got))
+		}
+	}
+	if got := LinearScanNN(d.Objects, d.Space, d.Objects[0], 3); len(got) != 3 {
+		t.Errorf("k=3: %d matches, want 3", len(got))
+	}
+}

@@ -3,7 +3,6 @@ package mtree
 import (
 	"container/heap"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -71,36 +70,47 @@ func (t *Tree) RangeCtx(ctx context.Context, q metric.Object, radius float64, op
 }
 
 func (t *Tree) rangeSearch(g *budget.Guard, q metric.Object, radius float64, opt QueryOptions) ([]Match, error) {
-	if q == nil {
-		return nil, errors.New("mtree: nil query object")
-	}
-	if radius < 0 {
-		return nil, fmt.Errorf("mtree: negative radius %g", radius)
+	if err := checkRange(q, radius); err != nil {
+		return nil, err
 	}
 	if t.root == pager.InvalidPage {
 		return nil, nil
 	}
 	opt.Trace.StartRange(radius)
+	v, root := t.source()
+	return v.rangeQuery(nil, q, root, radius, opt, g)
+}
+
+// source returns the view queries read and its root node: the frozen
+// arena when one is attached, else the node store.
+func (t *Tree) source() (*view, pager.PageID) {
 	if a := t.arena; a != nil {
-		return a.rangeRun(g, q, radius, opt)
+		return &a.view, 0
 	}
-	var out []Match
-	err := t.rangeAt(t.root, q, radius, math.NaN(), 1, opt, g, &out)
+	return &t.stored, t.root
+}
+
+// rangeQuery runs one range query from root, appending the matches to
+// dst in DFS order.
+func (v *view) rangeQuery(dst []Match, q metric.Object, root pager.PageID, radius float64, opt QueryOptions, g *budget.Guard) ([]Match, error) {
+	sc := v.getScratch(q)
+	out, err := v.rangeAt(sc, root, radius, math.NaN(), 1, opt, g, dst)
+	putScratch(sc)
 	return out, err
 }
 
 // rangeAt recursively collects matches under node id, a node at the
 // given level (root = 1). distQP is d(q, routing object of this node) —
-// NaN at the root.
-func (t *Tree) rangeAt(id pager.PageID, q metric.Object, radius, distQP float64, level int, opt QueryOptions, g *budget.Guard, out *[]Match) error {
-	if err := g.BeforeFetch(); err != nil {
-		return err
-	}
-	n, err := t.store.fetch(id)
+// NaN at the root. Distances are credited to the counter once per node,
+// before each recursion, and on a budget stop, so mid-query counter
+// reads see the same prefix totals as per-call counting would.
+func (v *view) rangeAt(sc *scratch, id pager.PageID, radius, distQP float64, level int, opt QueryOptions, g *budget.Guard, out []Match) ([]Match, error) {
+	n, err := v.fetch(id, level, g, opt.Trace, nil)
 	if err != nil {
-		return err
+		return out, err
 	}
-	opt.Trace.Visit(level)
+	s := v.slab(id)
+	dists := int64(0)
 	for i := range n.entries {
 		e := &n.entries[i]
 		bound := radius
@@ -116,10 +126,12 @@ func (t *Tree) rangeAt(id pager.PageID, q metric.Object, radius, distQP float64,
 				continue
 			}
 		}
-		d := t.dist(q, e.Object)
+		d := v.dist(sc, e, s+i)
+		dists++
 		opt.Trace.Dist(level)
 		if err := g.OnDist(); err != nil {
-			return err
+			v.counter.AddN(dists)
+			return out, err
 		}
 		if d > bound {
 			if !n.leaf {
@@ -128,66 +140,17 @@ func (t *Tree) rangeAt(id pager.PageID, q metric.Object, radius, distQP float64,
 			continue
 		}
 		if n.leaf {
-			*out = append(*out, Match{Object: e.Object, OID: e.OID, Distance: d})
-		} else if err := t.rangeAt(e.Child, q, radius, d, level+1, opt, g, out); err != nil {
-			return err
+			out = append(out, Match{Object: e.Object, OID: e.OID, Distance: d})
+			continue
+		}
+		v.counter.AddN(dists)
+		dists = 0
+		if out, err = v.rangeAt(sc, e.Child, radius, d, level+1, opt, g, out); err != nil {
+			return out, err
 		}
 	}
-	return nil
-}
-
-// nnQueueItem is a pending subtree in the k-NN search, ordered by dMin,
-// the lower bound on the distance from q to any object in the subtree.
-type nnQueueItem struct {
-	id    pager.PageID
-	dMin  float64
-	distQ float64 // d(q, routing object of the subtree); NaN for the root
-	level int     // tree level of the subtree root (tree root = 1)
-}
-
-type nnQueue []nnQueueItem
-
-func (h nnQueue) Len() int            { return len(h) }
-func (h nnQueue) Less(i, j int) bool  { return h[i].dMin < h[j].dMin }
-func (h nnQueue) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nnQueue) Push(x interface{}) { *h = append(*h, x.(nnQueueItem)) }
-func (h *nnQueue) Pop() interface{} {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
-}
-
-// resultHeap keeps the k best matches seen so far, max-distance on top.
-// Distance ties break on OID so the retained set — and therefore the
-// k-NN answer at a tied k-th boundary — is the k smallest (distance,
-// OID) pairs regardless of traversal encounter order. Canonical answers
-// let result caches and cross-engine comparisons demand bit-identity.
-type resultHeap []Match
-
-func (h resultHeap) Len() int { return len(h) }
-func (h resultHeap) Less(i, j int) bool {
-	if h[i].Distance != h[j].Distance {
-		return h[i].Distance > h[j].Distance
-	}
-	return h[i].OID > h[j].OID
-}
-func (h resultHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x interface{}) { *h = append(*h, x.(Match)) }
-func (h *resultHeap) Pop() interface{} {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
-}
-
-// drain empties the heap into increasing-distance order.
-func (h *resultHeap) drain() []Match {
-	out := make([]Match, h.Len())
-	for i := h.Len() - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(Match)
-	}
-	return out
+	v.counter.AddN(dists)
+	return out, nil
 }
 
 // NN returns the k nearest neighbors of q ordered by increasing
@@ -230,104 +193,77 @@ func (t *Tree) NNWithStop(q metric.Object, k int, stopRadius float64, opt QueryO
 	return out, nil
 }
 
-// NNWithStopCtx is NNWithStop honoring ctx and opt.Budget (see NNCtx).
-func (t *Tree) NNWithStopCtx(ctx context.Context, q metric.Object, k int, stopRadius float64, opt QueryOptions) ([]Match, error) {
-	if stopRadius < 0 {
-		return nil, fmt.Errorf("mtree: negative stop radius %g", stopRadius)
-	}
-	return t.nnSearch(budget.NewGuard(ctx, opt.Budget), q, k, stopRadius, opt)
-}
-
-// fetchFunc fetches one node for a query traversal, enforcing the
-// budget guard and recording the trace visit. The batch engine swaps in
-// a memoizing fetcher so node reads amortize across a query batch.
-type fetchFunc func(id pager.PageID, level int) (*node, error)
-
-// queryFetcher is the plain per-query fetcher: every call is one
-// guarded, counted, traced node read.
-func (t *Tree) queryFetcher(g *budget.Guard, tr *obs.Trace) fetchFunc {
-	return func(id pager.PageID, level int) (*node, error) {
-		if err := g.BeforeFetch(); err != nil {
-			return nil, err
-		}
-		n, err := t.store.fetch(id)
-		if err != nil {
-			return nil, err
-		}
-		tr.Visit(level)
-		return n, nil
-	}
-}
-
-// nnSearch is the shared best-first search: NN is the stopRadius=+Inf
-// case. On a guard stop (context or budget) it returns the current best
-// matches with the guard's error.
+// nnSearch validates a k-NN query and runs it: NN is the
+// stopRadius=+Inf case. On a guard stop (context or budget) it returns
+// the current best matches with the guard's error.
 func (t *Tree) nnSearch(g *budget.Guard, q metric.Object, k int, stopRadius float64, opt QueryOptions) ([]Match, error) {
-	if q == nil {
-		return nil, errors.New("mtree: nil query object")
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("mtree: k = %d", k)
+	if err := checkNN(q, k); err != nil {
+		return nil, err
 	}
 	if t.root == pager.InvalidPage {
 		return nil, nil
 	}
 	opt.Trace.StartNN(k)
-	if a := t.arena; a != nil {
-		return a.nnRun(g, q, k, stopRadius, opt, nil)
-	}
-	return t.nnSearchFetch(t.queryFetcher(g, opt.Trace), g, q, k, stopRadius, opt)
+	v, root := t.source()
+	return v.nnQuery(nil, q, root, k, stopRadius, opt, g, nil)
 }
 
-// nnSearchFetch is the best-first loop with node access abstracted:
-// callers have validated inputs and recorded the trace start. The guard
-// only meters distance computations here — node fetches are metered by
-// the fetcher, which in batch mode skips the guard on memo hits.
-func (t *Tree) nnSearchFetch(fetch fetchFunc, g *budget.Guard, q metric.Object, k int, stopRadius float64, opt QueryOptions) ([]Match, error) {
-	pq := &nnQueue{{id: t.root, dMin: 0, distQ: math.NaN(), level: 1}}
-	best := &resultHeap{}
-	rk := func() float64 {
-		r := t.opt.Space.Bound
-		if best.Len() >= k {
-			r = (*best)[0].Distance
-		}
-		if stopRadius < r {
-			return stopRadius
-		}
-		return r
+// searchRadius is the k-NN search's dynamic radius: the k-th best
+// distance once k candidates exist (d+ before), capped by stopRadius.
+func searchRadius(best []Match, k int, bound, stopRadius float64) float64 {
+	r := bound
+	if len(best) >= k {
+		r = best[0].Distance
 	}
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(nnQueueItem)
-		if item.dMin > rk() {
+	if stopRadius < r {
+		return stopRadius
+	}
+	return r
+}
+
+// nnQuery is the best-first k-NN search from root. It appends the
+// neighbors, closest first, to dst; on a stop (guard or fetch error) it
+// appends the best matches found so far and returns the error. A
+// non-nil memo shares node reads across NNBatch (see view.fetch).
+func (v *view) nnQuery(dst []Match, q metric.Object, root pager.PageID, k int, stopRadius float64, opt QueryOptions, g *budget.Guard, memo *[]*node) ([]Match, error) {
+	sc := v.getScratch(q)
+	pq := append(sc.pq[:0], nnItem{id: root, level: 1, distQ: math.NaN()})
+	best := sc.best[:0]
+	var err error
+	for len(pq) > 0 && err == nil {
+		var item nnItem
+		pq, item = nnqPop(pq)
+		if item.dMin > searchRadius(best, k, v.bound, stopRadius) {
 			break
 		}
-		n, err := fetch(item.id, item.level)
-		if err != nil {
-			return best.drain(), err
+		level := int(item.level)
+		var n *node
+		if n, err = v.fetch(item.id, level, g, opt.Trace, memo); err != nil {
+			break
 		}
+		s := v.slab(item.id)
+		dists := int64(0)
 		for i := range n.entries {
 			e := &n.entries[i]
-			bound := rk()
+			bound := searchRadius(best, k, v.bound, stopRadius)
 			if !n.leaf {
 				bound += e.Radius
 			}
 			if opt.UseParentDist && !math.IsNaN(item.distQ) && !math.IsNaN(e.ParentDist) {
 				if math.Abs(item.distQ-e.ParentDist) > bound {
-					opt.Trace.PruneParent(item.level)
+					opt.Trace.PruneParent(level)
 					continue
 				}
 			}
-			d := t.dist(q, e.Object)
-			opt.Trace.Dist(item.level)
-			if err := g.OnDist(); err != nil {
-				return best.drain(), err
+			d := v.dist(sc, e, s+i)
+			dists++
+			opt.Trace.Dist(level)
+			if err = g.OnDist(); err != nil {
+				break
 			}
 			if n.leaf {
-				if d <= rk() {
-					heap.Push(best, Match{Object: e.Object, OID: e.OID, Distance: d})
-					if best.Len() > k {
-						heap.Pop(best)
-					}
+				if d <= searchRadius(best, k, v.bound, stopRadius) {
+					best = keepBest(best, k, Match{Object: e.Object, OID: e.OID, Distance: d})
 				}
 				continue
 			}
@@ -335,14 +271,20 @@ func (t *Tree) nnSearchFetch(fetch fetchFunc, g *budget.Guard, q metric.Object, 
 			if dMin < 0 {
 				dMin = 0
 			}
-			if dMin <= rk() {
-				heap.Push(pq, nnQueueItem{id: e.Child, dMin: dMin, distQ: d, level: item.level + 1})
+			if dMin <= searchRadius(best, k, v.bound, stopRadius) {
+				pq = nnqPush(pq, nnItem{id: e.Child, level: item.level + 1, dMin: dMin, distQ: d})
 			} else {
-				opt.Trace.PruneRadius(item.level)
+				opt.Trace.PruneRadius(level)
 			}
 		}
+		v.counter.AddN(dists)
 	}
-	return best.drain(), nil
+	// No defer on this path: a deferred closure would move pq and best to
+	// the heap. The regrown storage goes back to the scratch explicitly.
+	dst = drainBest(dst, best)
+	sc.pq, sc.best = pq, best
+	putScratch(sc)
+	return dst, err
 }
 
 // LinearScanRange is the baseline: scan all objects, computing every
@@ -358,8 +300,13 @@ func LinearScanRange(objs []metric.Object, space *metric.Space, q metric.Object,
 	return out
 }
 
-// LinearScanNN is the k-NN baseline over a plain object slice.
+// LinearScanNN is the k-NN baseline over a plain object slice: the
+// brute-force oracle the engines are checked against. It deliberately
+// shares no code with them — its heap is container/heap's.
 func LinearScanNN(objs []metric.Object, space *metric.Space, q metric.Object, k int) []Match {
+	if k <= 0 {
+		return nil
+	}
 	best := &resultHeap{}
 	for i, o := range objs {
 		d := space.Distance(q, o)
@@ -371,5 +318,28 @@ func LinearScanNN(objs []metric.Object, space *metric.Space, q metric.Object, k 
 			heap.Push(best, Match{Object: o, OID: uint64(i), Distance: d})
 		}
 	}
-	return best.drain()
+	out := make([]Match, best.Len())
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = heap.Pop(best).(Match)
+	}
+	return out
+}
+
+// resultHeap is LinearScanNN's max-heap on (distance, OID).
+type resultHeap []Match
+
+func (h resultHeap) Len() int { return len(h) }
+func (h resultHeap) Less(i, j int) bool {
+	if h[i].Distance != h[j].Distance {
+		return h[i].Distance > h[j].Distance
+	}
+	return h[i].OID > h[j].OID
+}
+func (h resultHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *resultHeap) Push(x interface{}) { *h = append(*h, x.(Match)) }
+func (h *resultHeap) Pop() interface{} {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }

@@ -1,7 +1,6 @@
 package mtree
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -26,8 +25,8 @@ import (
 // Budgets and contexts are honored at page granularity, like the tree's
 // per-node-fetch checks: a stopped query returns the valid partial
 // result accumulated so far with the typed budget/context error. Batch
-// variants share the page reads across the batch, mirroring the tree's
-// shared-traversal amortization.
+// variants share the page reads across the batch, as the tree's shared
+// traversals do.
 //
 // Like the tree, a Scan is safe for concurrent read-only queries;
 // Insert/Remove must not run concurrently with queries.
@@ -125,7 +124,7 @@ func (s *Scan) ResetCounters() {
 }
 
 // Insert appends one object under the given OID (the tree hands out
-// OIDs; the scan mirrors them so the engines stay comparable).
+// OIDs; the scan keeps them so the engines stay comparable).
 func (s *Scan) Insert(obj metric.Object, oid uint64) {
 	s.objs = append(s.objs, obj)
 	s.oids = append(s.oids, oid)
@@ -160,11 +159,8 @@ func (s *Scan) RangeCtx(ctx context.Context, q metric.Object, radius float64, op
 }
 
 func (s *Scan) rangeScan(ctx context.Context, g *budget.Guard, q metric.Object, radius float64, opt QueryOptions) ([]Match, error) {
-	if q == nil {
-		return nil, errors.New("mtree: nil query object")
-	}
-	if radius < 0 {
-		return nil, fmt.Errorf("mtree: negative radius %g", radius)
+	if err := checkRange(q, radius); err != nil {
+		return nil, err
 	}
 	opt.Trace.StartRange(radius)
 	var out []Match
@@ -192,19 +188,20 @@ func (s *Scan) NNCtx(ctx context.Context, q metric.Object, k int, opt QueryOptio
 }
 
 func (s *Scan) nnScan(g *budget.Guard, q metric.Object, k int, opt QueryOptions) ([]Match, error) {
-	if q == nil {
-		return nil, errors.New("mtree: nil query object")
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("mtree: k = %d", k)
+	if err := checkNN(q, k); err != nil {
+		return nil, err
 	}
 	opt.Trace.StartNN(k)
-	best := &resultHeap{}
+	sc := scratchPool.Get().(*scratch)
+	best := sc.best
 	err := s.walk(g, opt, func(i int) {
 		d := s.space.Distance(q, s.objs[i])
-		pushBest(best, k, Match{Object: s.objs[i], OID: s.oids[i], Distance: d})
+		best = keepBest(best, k, Match{Object: s.objs[i], OID: s.oids[i], Distance: d})
 	}, 1)
-	return best.drain(), err
+	out := drainBest(nil, best)
+	sc.best = best
+	putScratch(sc)
+	return out, err
 }
 
 // walk drives one metered pass over the object list: a guarded node
@@ -235,20 +232,6 @@ func (s *Scan) walk(g *budget.Guard, opt QueryOptions, visit func(i int), perQue
 		}
 	}
 	return nil
-}
-
-// pushBest keeps the k smallest (distance, OID) pairs on the heap —
-// LinearScanNN's tie-break, shared verbatim.
-func pushBest(best *resultHeap, k int, m Match) {
-	if best.Len() < k {
-		heap.Push(best, m)
-		return
-	}
-	if worst := (*best)[0]; m.Distance < worst.Distance ||
-		(m.Distance == worst.Distance && m.OID < worst.OID) {
-		heap.Pop(best)
-		heap.Push(best, m)
-	}
 }
 
 // sortMatches orders matches by (distance, OID) — the canonical result
@@ -320,19 +303,16 @@ func (s *Scan) nnBatch(g *budget.Guard, qs []metric.Object, k int, opt QueryOpti
 		}
 	}
 	opt.Trace.StartNNBatch(k, len(qs))
-	heaps := make([]*resultHeap, len(qs))
-	for i := range heaps {
-		heaps[i] = &resultHeap{}
-	}
+	heaps := make([][]Match, len(qs))
 	err := s.walk(g, opt, func(i int) {
 		for qi, q := range qs {
 			d := s.space.Distance(q, s.objs[i])
-			pushBest(heaps[qi], k, Match{Object: s.objs[i], OID: s.oids[i], Distance: d})
+			heaps[qi] = keepBest(heaps[qi], k, Match{Object: s.objs[i], OID: s.oids[i], Distance: d})
 		}
 	}, len(qs))
 	out := make([][]Match, len(qs))
 	for qi, h := range heaps {
-		out[qi] = h.drain()
+		out[qi] = drainBest(nil, h)
 	}
 	return out, err
 }

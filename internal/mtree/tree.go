@@ -126,10 +126,12 @@ type Tree struct {
 	size    int
 	nextOID uint64
 
-	// arena, when non-nil, is the frozen columnar snapshot queries run
-	// against instead of the node store (see FreezeArena). Mutations
-	// thaw it. arenaReads counts its logical node accesses so NodeReads
-	// stays one number whichever engine served the query.
+	// stored is the query traversals' view of the node store. arena, when
+	// non-nil, is the frozen snapshot queries read instead (see
+	// FreezeArena); mutations thaw it. arenaReads counts its node
+	// accesses so NodeReads stays one number whichever source served the
+	// query.
+	stored     view
 	arena      *Arena
 	arenaReads atomic.Int64
 }
@@ -171,6 +173,7 @@ func New(opt Options) (*Tree, error) {
 	} else {
 		t.store = newMemStore()
 	}
+	t.stored = view{store: t.store, counter: t.counter, space: t.counter.Space(), bound: opt.Space.Bound}
 	return t, nil
 }
 

@@ -102,8 +102,8 @@ type Options struct {
 	// storage stack (pager, codec, metrics). Space, PageSize, and Seed
 	// are overwritten by Build to keep shards consistent.
 	TreeOptions func(i int) (mtree.Options, error)
-	// Arena, when non-nil, freezes each shard tree into the flat
-	// columnar arena after its build (see mtree.Tree.FreezeArena).
+	// Arena, when non-nil, freezes each shard tree into an arena after
+	// its build (see mtree.Tree.FreezeArena).
 	// With Mmap and a non-empty Path, shard i writes its slab to
 	// "<Path>.<i>" so shards never share a file.
 	Arena *mtree.ArenaConfig

@@ -94,17 +94,17 @@ type Options struct {
 	// Storage selects the fault-tolerant paged storage stack; the zero
 	// value keeps the fast in-memory node store.
 	Storage StorageOptions
-	// Arena freezes the built tree into the flat columnar node layout
-	// for query serving (see ArenaOptions).
+	// Arena freezes the built tree into the arena node slab for query
+	// serving (see ArenaOptions).
 	Arena ArenaOptions
 }
 
 // ArenaOptions opts the built index into the arena read path: the tree
-// is frozen into a flat columnar layout (routing radii, parent
-// distances, child pointers, and objects in typed slabs) that queries
-// traverse with batched distance kernels and zero per-query heap
-// allocations. Results, traces, and cost counters are bit-identical to
-// the store-backed traversal. Insert and Delete thaw the arena — the
+// is frozen into a DFS-preorder node slab over one entry slab, with
+// vector coordinates (or strings) in a contiguous kernel slab. Queries
+// run the store's own traversals over it with slab distance kernels and
+// zero per-query heap allocations, so results, traces, and cost
+// counters are bit-identical to the store-backed path. Insert and Delete thaw the arena — the
 // index transparently falls back to the store path until it is frozen
 // again.
 type ArenaOptions struct {

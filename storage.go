@@ -195,21 +195,6 @@ func (ix *Index) NNBudget(k int, slack float64) QueryBudget {
 	return ix.budgetFrom(ix.model.NNL(k), slack)
 }
 
-// RangeWithBudget runs a range query under the model-derived budget:
-// admission control by the index's own cost model. A query whose
-// observed cost stays near its prediction completes normally; one that
-// degenerates (the high-dimensional near-linear-scan regime) is stopped
-// at prediction × slack and returns its partial matches with
-// ErrBudgetExceeded.
-func (ix *Index) RangeWithBudget(ctx context.Context, q Object, radius, slack float64) ([]Match, error) {
-	return ix.RangeCtx(ctx, q, radius, ix.RangeBudget(radius, slack))
-}
-
-// NNWithBudget is the k-NN analogue of RangeWithBudget.
-func (ix *Index) NNWithBudget(ctx context.Context, q Object, k int, slack float64) ([]Match, error) {
-	return ix.NNCtx(ctx, q, k, ix.NNBudget(k, slack))
-}
-
 // VPBudget derives a distance-computation budget for vp-tree queries
 // from the Section 5 model: predicted visits and distances times slack.
 func vpBudget(est core.VPCost, slack float64) QueryBudget {
